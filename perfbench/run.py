@@ -4,14 +4,16 @@ Usage, from the root of a checkout:
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-With --trace 0 the workload's graphs are built five times, each from a
-fresh import of the package, and the median set-up time is reported.
-Then whole passes over the workload's operations run until the next pass
-would end after S seconds (at least one pass).  An operation's time is
-its median over the passes, and op_p50_ms and op_tail_ms are taken over
-those medians.  With --trace 1 the graphs are built once with the layers
-traced; the first half of the time runs untraced passes and the second
-half traced ones, and the per-layer metrics are reported instead.
+With --trace 0 the workload's graphs are built, from a fresh import of
+the package, once for the passes and SETUP_BATCH more times before the
+first pass and after each pass, and the median set-up time is reported.
+Whole passes over the workload's operations run until the next pass
+would take their total past S seconds (at least one pass).  An
+operation's time is its median over the passes, and op_p50_ms and
+op_tail_ms are taken over those medians.  With --trace 1 the graphs are
+built once with the layers traced; the first half of the time runs
+untraced passes and the second half traced ones, and the per-layer
+metrics are reported instead.
 
 Every time is rescaled to a fixed machine speed, read by the probe loop
 that probe.Sampler runs every 50 ms.  The outputs are checked after the
@@ -30,6 +32,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import gc
 import importlib
 import json
 import resource
@@ -41,14 +44,17 @@ from time import perf_counter
 from types import SimpleNamespace
 
 import stats
-from probe import REFERENCE_S, SENSITIVITY, Sampler
+from probe import REFERENCE_S, Sampler
 from tracing import Tracer
 from workloads import WORKLOADS
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 RESULTS = HERE / "results"
-SETUPS = 5
+# Timed set-ups before the first pass and after each pass.  Spread over
+# the whole run, their median does not follow a short slow spell of the
+# host, as it does when all of them run in the first second or two.
+SETUP_BATCH = 5
 
 MODULES = (
     "betti", "chordal", "evenconnection", "families", "graphs", "invariants",
@@ -60,9 +66,17 @@ class SetupError(Exception):
     """The checkout does not hold what the benchmark needs."""
 
 
+def loaded_modules() -> dict:
+    """The edgeideal modules in sys.modules, by name."""
+    return {
+        name: m for name, m in sys.modules.items()
+        if name == "edgeideal" or name.startswith("edgeideal.")
+    }
+
+
 def load_library() -> SimpleNamespace:
     """Import edgeideal afresh from this checkout's src/."""
-    for name in [m for m in sys.modules if m == "edgeideal" or m.startswith("edgeideal.")]:
+    for name in loaded_modules():
         del sys.modules[name]
     package = importlib.import_module("edgeideal")
     if Path(package.__file__).resolve().parent != ROOT / "src" / "edgeideal":
@@ -85,9 +99,9 @@ def setup(workload, seed: int, tracer=None):
     return (start, perf_counter()), lib, inputs
 
 
-def rescale(intervals, samples) -> list:
+def rescale(intervals, samples, exponent: float) -> list:
     """(net seconds, speed factor) of each interval; see stats.rescale."""
-    return stats.rescale(intervals, samples, REFERENCE_S, exponent=SENSITIVITY)
+    return stats.rescale(intervals, samples, REFERENCE_S, exponent=exponent)
 
 
 class Passes:
@@ -97,10 +111,10 @@ class Passes:
         self.intervals: list = []
         self.outputs: list = []
 
-    def times(self, samples) -> list:
+    def times(self, samples, exponent: float) -> list:
         """Per pass, each operation's time at the reference speed."""
         return [
-            [net * speed for net, speed in rescale(ops, samples)]
+            [net * speed for net, speed in rescale(ops, samples, exponent)]
             for ops in self.intervals
         ]
 
@@ -108,19 +122,25 @@ class Passes:
         return [sum(end - start for start, end in ops) for ops in self.intervals]
 
 
-def run_passes(workload, lib, inputs, seconds: float, tracer=None) -> Passes:
-    """Whole passes until the next one would end after `seconds`."""
+def run_passes(workload, lib, inputs, seconds: float, tracer=None, after_pass=None) -> Passes:
+    """Whole passes until the next one would take their total past `seconds`.
+
+    after_pass() runs after each pass, outside that total.
+    """
     between = (lambda: None) if tracer is None else tracer.begin_op
     out = Passes()
     walls = []
-    start = perf_counter()
     while True:
         pass_start = perf_counter()
         intervals, outputs = workload.run_pass(lib, inputs, between)
         walls.append(perf_counter() - pass_start)
         out.intervals.append(intervals)
-        out.outputs.append(outputs)
-        if perf_counter() - start + statistics.median(walls) > seconds:
+        # Passes after the first are kept as digests, so that what the
+        # benchmark holds does not grow with the number of passes.
+        out.outputs.append(outputs if not out.outputs else workload.digest_pass(outputs))
+        if after_pass is not None:
+            after_pass()
+        if sum(walls) + statistics.median(walls) > seconds:
             return out
 
 
@@ -129,13 +149,31 @@ def peak_rss_mb() -> float:
 
 
 def end_to_end(workload, args, record: dict):
+    setups = []
+
+    def set_up_batch() -> None:
+        # Each set-up starts from a collected heap and is dropped at once,
+        # so that no set-up pays for another's garbage and peak_rss_mb
+        # counts no more than the passes' set-up and one other.  Then the
+        # passes' modules go back into sys.modules, for the checks.
+        own = loaded_modules()
+        for _ in range(SETUP_BATCH):
+            gc.collect()
+            setups.append(setup(workload, args.seed)[0])
+        for name in loaded_modules():
+            del sys.modules[name]
+        sys.modules.update(own)
+        gc.collect()
+
     with Sampler() as sampler:
-        setups = [setup(workload, args.seed) for _ in range(SETUPS)]
-        _, lib, inputs = setups[-1]
-        passes = run_passes(workload, lib, inputs, args.seconds)
+        interval, lib, inputs = setup(workload, args.seed)
+        setups.append(interval)
+        set_up_batch()
+        passes = run_passes(workload, lib, inputs, args.seconds, after_pass=set_up_batch)
     rss = peak_rss_mb()
-    setup_s = [net * speed for net, speed in rescale([s[0] for s in setups], sampler.samples)]
-    times = passes.times(sampler.samples)
+    exponent = workload.sensitivity
+    setup_s = [net * speed for net, speed in rescale(setups, sampler.samples, exponent)]
+    times = passes.times(sampler.samples, exponent)
     pass_s = [sum(ops) for ops in times]
     op_s = [statistics.median(op) for op in zip(*times)]
     tail = stats.tail_percentile(len(inputs))
@@ -148,7 +186,7 @@ def end_to_end(workload, args, record: dict):
     }
     record.update(
         setup_s=setup_s,
-        raw_setup_s=[end - start for (start, end), _, _ in setups],
+        raw_setup_s=[end - start for start, end in setups],
         pass_s=pass_s,
         raw_pass_s=passes.raw_pass_s(),
         op_median_s=op_s,
@@ -169,9 +207,10 @@ def traced(workload, args, record: dict):
         spanned = run_passes(workload, lib, inputs, args.seconds / 2, tracer)
         tracer.uninstall()
     spans = tracer.take()
-    (_, setup_speed), = rescale([interval], sampler.samples)
-    plain_s = [sum(ops) for ops in plain.times(sampler.samples)]
-    spanned_s = [sum(ops) for ops in spanned.times(sampler.samples)]
+    exponent = workload.sensitivity
+    (_, setup_speed), = rescale([interval], sampler.samples, exponent)
+    plain_s = [sum(ops) for ops in plain.times(sampler.samples, exponent)]
+    spanned_s = [sum(ops) for ops in spanned.times(sampler.samples, exponent)]
     layer = stats.layer_metrics(
         stats.SpanSummary(setup_spans),
         stats.SpanSummary(spans),
@@ -188,7 +227,8 @@ def traced(workload, args, record: dict):
         raw_traced_pass_s=spanned.raw_pass_s(),
     )
     write_spans(workload.name, args.seed, setup_spans, spans)
-    return lib, inputs, plain.outputs + spanned.outputs, metrics
+    outputs = plain.outputs + [workload.digest_pass(spanned.outputs[0])] + spanned.outputs[1:]
+    return lib, inputs, outputs, metrics
 
 
 def main(argv=None) -> int:

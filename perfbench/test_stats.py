@@ -1,11 +1,15 @@
-"""Tests of the benchmark's own arithmetic on synthetic spans and samples.
+"""Tests of the benchmark's own arithmetic on synthetic spans and samples,
+and of its checks on synthetic reports.
 
 Run with:  python3 -m pytest perfbench
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 import stats
+import workloads
 from workloads import forest_count
 
 
@@ -156,3 +160,64 @@ def test_forest_count_is_the_euler_transform_of_the_tree_numbers():
     # forests with exactly e edges and no isolated vertex: 1, 2, 4, 8, 16, 34
     assert [forest_count(e) - forest_count(e - 1) for e in range(2, 7)] == [2, 4, 8, 16, 34]
     assert forest_count(6) == 65
+
+
+def harness_report(edges, s, drop=()):
+    """The records check_theorems makes at s on a bipartite graph, less drop."""
+    checks = [
+        SimpleNamespace(claim="...", citation=tag, status="pass")
+        for tag in workloads.HARNESS_REPORT_TAGS
+    ]
+    tags = workloads.HARNESS_MULTISET_TAGS_S2 if s == 2 else workloads.HARNESS_MULTISET_TAGS
+    for m in workloads.itertools.combinations_with_replacement(edges, s):
+        label = ", ".join(f"{u}*{v}" for u, v in m)
+        checks += [
+            SimpleNamespace(claim=f"holds for [{label}]", citation=tag, status="pass")
+            for tag in tags
+            if (tag, label) not in drop
+        ]
+    return SimpleNamespace(s=s, checks=checks)
+
+
+P3 = SimpleNamespace(edges=(("x1", "x2"), ("x2", "x3")))
+
+
+def test_claim_multiset_ignores_edge_and_endpoint_order():
+    assert workloads.claim_multiset("agree for [x2*x1, x1*x3]") == (("x1", "x2"), ("x1", "x3"))
+    assert workloads.claim_multiset("x <= 3 for [x3*x1, x1*x2]") == (("x1", "x2"), ("x1", "x3"))
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_harness_coverage_passes_a_complete_report(s):
+    failures = workloads.Failures()
+    workloads.HarnessBipartite6.check_coverage(P3, harness_report(P3.edges, s), 0, failures)
+    assert failures.count(1) == 0
+
+
+def test_harness_coverage_fails_a_skipped_multiset():
+    failures = workloads.Failures()
+    report = harness_report(P3.edges, 2, drop={("iterated-colon-collapse", "x1*x2, x2*x3")})
+    workloads.HarnessBipartite6.check_coverage(P3, report, 0, failures)
+    assert failures.count(1) == 1
+
+
+def test_harness_coverage_fails_a_missing_oracle():
+    failures = workloads.Failures()
+    report = harness_report(P3.edges, 1)
+    report.checks = [c for c in report.checks if c.citation != "power-lower"]
+    workloads.HarnessBipartite6.check_coverage(P3, report, 0, failures)
+    assert failures.count(1) == 1
+
+
+def test_run_each_returns_an_exception_as_the_output():
+    def call(x):
+        if x == 2:
+            raise ValueError("no")
+        return x * 10
+
+    ops, outputs = workloads.run_each(call, [1, 2, 3], lambda: None)
+    assert len(ops) == 3 and all(start <= end for start, end in ops)
+    assert outputs[0] == 10 and isinstance(outputs[1], ValueError) and outputs[2] == 30
+    failures = workloads.Failures()
+    workloads.count_raised([outputs, outputs], failures)
+    assert failures.count(3) == 1

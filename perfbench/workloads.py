@@ -14,9 +14,14 @@ operations.
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from collections import Counter
+from contextlib import contextmanager
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Tuple
+
+from probe import SENSITIVITY
 
 # Connected bipartite graphs on n vertices, n = 2..6 (OEIS A005142).
 A005142 = {2: 1, 3: 1, 4: 3, 5: 5, 6: 17}
@@ -43,6 +48,20 @@ REG_LARGE = (
 GAP_SAMPLE = 3
 HARNESS_SAMPLE = 4
 
+# Records check_theorems makes on every connected bipartite graph with an
+# edge: per report, from the Betti oracle; per edge multiset of size s,
+# from the checks on its derived graph G' (oracle included).  Records that
+# depend on a hypothesis of the graph (unmixed, P_k-free, ...) are left out.
+HARNESS_REPORT_TAGS = (
+    "invariant-chain", "power-lower", "power-lower-subgraph",
+    "power-upper-cochord", "power-upper-matching", "power-upper-bipartition",
+)
+HARNESS_MULTISET_TAGS = (
+    "derived-graph-routes", "derived-graph-bipartite",
+    "induced-matching-monotone", "cochord-monotone", "colon-reg-bounded",
+)
+HARNESS_MULTISET_TAGS_S2 = HARNESS_MULTISET_TAGS + ("iterated-colon-collapse",)
+
 
 class Failures:
     """Failed input indices with one message each."""
@@ -62,6 +81,14 @@ class Failures:
 
     def messages(self) -> List[str]:
         return self.whole_pass + [f"input {i}: {m}" for i, m in sorted(self.by_index.items())]
+
+    @contextmanager
+    def blame(self, index: int) -> Iterator[None]:
+        """Count an exception raised inside the block as input index failing."""
+        try:
+            yield
+        except Exception as exc:
+            self.add(index, f"raised {exc!r}")
 
 
 # -- the benchmark's own graph reference code --------------------------------
@@ -124,15 +151,61 @@ def edge_set(g) -> set:
     return {frozenset(e) for e in g.edges}
 
 
+def multiset_key(edges) -> tuple:
+    """An edge multiset, independent of the order of edges and endpoints."""
+    return tuple(sorted(tuple(sorted(e)) for e in edges))
+
+
+def claim_multiset(claim: str) -> tuple:
+    """The multiset a check_theorems claim names as [u*v, ...]."""
+    label = claim[claim.rindex("[") + 1:claim.rindex("]")]
+    return multiset_key(pair.split("*") for pair in label.split(", "))
+
+
+def run_each(call: Callable, inputs: list, between: Callable[[], None]):
+    """call(x) for each input, timed alone: ((start, end) of each, outputs).
+
+    An exception is returned as that operation's output, for check to count.
+    """
+    ops, outputs = [], []
+    for x in inputs:
+        between()
+        start = perf_counter()
+        try:
+            out = call(x)
+        except Exception as exc:
+            out = exc
+        ops.append((start, perf_counter()))
+        outputs.append(out)
+    return ops, outputs
+
+
+def count_raised(passes: List[list], failures: Failures) -> None:
+    for k, outputs in enumerate(passes):
+        for i, out in enumerate(outputs):
+            if isinstance(out, Exception):
+                failures.add(i, f"pass {k} raised {out!r}")
+
+
 # -- workloads ----------------------------------------------------------------
 
 
 class Workload:
     name = ""
-    why = ""
+    # How much of the probe loop's slowdown this workload's work shares;
+    # see probe.SENSITIVITY.
+    sensitivity = SENSITIVITY
 
     def build(self, lib, seed: int) -> list:
         raise NotImplementedError
+
+    def digest(self, output):
+        """A small value equal for equal outputs of one operation."""
+        return output
+
+    def digest_pass(self, outputs: list) -> list:
+        """digest of each output; an exception stays as it is, for check."""
+        return [out if isinstance(out, Exception) else self.digest(out) for out in outputs]
 
     def run_pass(self, lib, inputs: list, between: Callable[[], None]) -> Tuple[List[Tuple[float, float]], list]:
         """Run every operation once: ((start, end) of each operation, outputs).
@@ -142,15 +215,8 @@ class Workload:
         raise NotImplementedError
 
     def check(self, lib, oracles, inputs: list, passes: List[list], seed: int) -> Failures:
+        """Check the outputs: passes[0] in full, later passes as digests."""
         raise NotImplementedError
-
-
-def _same_across_passes(passes: List[list], encode: Callable, failures: Failures) -> None:
-    first = [encode(out) for out in passes[0]]
-    for k, outputs in enumerate(passes[1:], start=1):
-        for i, out in enumerate(outputs):
-            if encode(out) != first[i]:
-                failures.add(i, f"pass {k} differs from pass 0")
 
 
 class GapSearch(Workload):
@@ -178,9 +244,16 @@ class GapSearch(Workload):
                 starts.append(perf_counter())
                 yield g
 
-        report = lib.regbounds.gap_search(feed(), self.s)
-        ends.append(perf_counter())
-        return list(zip(starts, ends[1:])), [report]
+        try:
+            report = lib.regbounds.gap_search(feed(), self.s)
+        except Exception as exc:
+            report = exc
+        end = perf_counter()
+        ends.append(end)
+        ops = list(zip(starts, ends[1:]))
+        # graphs never pulled, when the search raised
+        ops += [(end, end)] * (len(inputs) - len(ops))
+        return ops, [report]
 
     def expected_t(self, t: int, n: int) -> bool:
         raise NotImplementedError
@@ -191,11 +264,18 @@ class GapSearch(Workload):
         self.check_inputs(inputs, failures)
         brute_nu = [oracles.brute_induced_matching_number(g) for g in inputs]
         for i, g in enumerate(inputs):
-            nu = lib.invariants.induced_matching_number(g)
-            if nu != brute_nu[i]:
-                failures.add(i, f"nu {nu} != brute force {brute_nu[i]}")
+            with failures.blame(i):
+                nu = lib.invariants.induced_matching_number(g)
+                if nu != brute_nu[i]:
+                    failures.add(i, f"nu {nu} != brute force {brute_nu[i]}")
         ids = {lib.regbounds.graph_id(g): i for i, g in enumerate(inputs)}
         for k, (report,) in enumerate(passes):
+            if isinstance(report, Exception):
+                failures.all(f"pass {k}: gap_search raised {report!r}")
+        reports = [(k, p[0]) for k, p in enumerate(passes) if not isinstance(p[0], Exception)]
+        if not reports:
+            return failures
+        for k, report in reports:
             if report.total != len(inputs) or report.skipped:
                 failures.all(f"pass {k}: examined {report.total}, skipped {report.skipped}")
             if sum(sum(row.values()) for row in report.distribution.values()) != len(inputs):
@@ -210,27 +290,27 @@ class GapSearch(Workload):
                     failures.all(f"pass {k}: strict entry {item} does not match its graph")
                 elif not 2 * s + item["nu"] - 1 < item["reg"] < 2 * s + item["cochord"] - 1:
                     failures.add(i, f"strict entry {item} is not strict")
-        if len(passes) > 1:
-            first = passes[0][0].to_json_dict()
-            if any(p[0].to_json_dict() != first for p in passes[1:]):
-                failures.all("passes disagree")
+        first = reports[0][1].to_json_dict()
+        if any(r.to_json_dict() != first for _, r in reports[1:]):
+            failures.all("passes disagree")
         rng = random.Random(f"{self.name}:{seed}:check")
-        distribution = passes[0][0].distribution
+        distribution = reports[0][1].distribution
         for i in self.sample(inputs, rng):
             g = inputs[i]
-            cochord = lib.chordal.cochordal_cover_number(g)[0]
-            brute_cochord = oracles.brute_cochordal_cover_number(g)
-            if cochord != brute_cochord:
-                failures.add(i, f"cochord {cochord} != brute force {brute_cochord}")
-            reg = lib.betti.reg_power(g, s)
-            if self.taylor_ok(g):
-                ideal = lib.monomials.power(lib.monomials.edge_ideal(g), s)
-                taylor = oracles.taylor_regularity(ideal)
-                if reg != taylor:
-                    failures.add(i, f"reg {reg} != Taylor resolution {taylor}")
-            n, t = brute_cochord - brute_nu[i], reg - (2 * s + brute_nu[i] - 1)
-            if distribution.get(n, {}).get(t, 0) < 1:
-                failures.add(i, f"cell n={n} t={t} missing from the distribution")
+            with failures.blame(i):
+                cochord = lib.chordal.cochordal_cover_number(g)[0]
+                brute_cochord = oracles.brute_cochordal_cover_number(g)
+                if cochord != brute_cochord:
+                    failures.add(i, f"cochord {cochord} != brute force {brute_cochord}")
+                reg = lib.betti.reg_power(g, s)
+                if self.taylor_ok(g):
+                    ideal = lib.monomials.power(lib.monomials.edge_ideal(g), s)
+                    taylor = oracles.taylor_regularity(ideal)
+                    if reg != taylor:
+                        failures.add(i, f"reg {reg} != Taylor resolution {taylor}")
+                n, t = brute_cochord - brute_nu[i], reg - (2 * s + brute_nu[i] - 1)
+                if distribution.get(n, {}).get(t, 0) < 1:
+                    failures.add(i, f"cell n={n} t={t} missing from the distribution")
         return failures
 
     def check_inputs(self, inputs: list, failures: Failures) -> None:
@@ -250,7 +330,6 @@ class GapSearch(Workload):
 
 class GapConnected7(GapSearch):
     name = "gap-connected7-s1"
-    why = "gap_search at s=1 over 105 connected 7-vertex graphs; the co-chordal cover (minimal-fill) search does most of the work"
     s = 1
 
     def graphs(self, lib):
@@ -287,7 +366,6 @@ class GapConnected7(GapSearch):
 
 class GapForests6(GapSearch):
     name = "gap-forests6-s2"
-    why = "gap_search at s=2 over all 65 forests with at most 6 edges; the Betti oracle (lcm lattice, Koszul complexes, homology) does nearly all the work"
     s = 2
 
     def graphs(self, lib):
@@ -314,7 +392,6 @@ class GapForests6(GapSearch):
 
 class HarnessBipartite6(Workload):
     name = "harness-bipartite6"
-    why = "check_theorems at s=1,2 with edge multisets of size up to 2 on all 27 connected bipartite graphs with 2 to 6 vertices; colon, power, polarize and G' carry weight"
 
     def build(self, lib, seed):
         graphs = [
@@ -327,13 +404,13 @@ class HarnessBipartite6(Workload):
 
     def run_pass(self, lib, inputs, between):
         config = lib.regbounds.CheckConfig(s_values=(1, 2), max_multiset_size=2)
-        ops, outputs = [], []
-        for g in inputs:
-            between()
-            start = perf_counter()
-            outputs.append(lib.regbounds.check_theorems(g, config))
-            ops.append((start, perf_counter()))
-        return ops, outputs
+        return run_each(lambda g: lib.regbounds.check_theorems(g, config), inputs, between)
+
+    def digest(self, reports):
+        # The reports of one graph run to tens of kB.  Digests are compared
+        # within one process only, so the built-in hash will do; hashlib
+        # would load a crypto library of several MB into peak_rss_mb.
+        return hash(json.dumps([r.to_json_dict() for r in reports], sort_keys=True))
 
     def check(self, lib, oracles, inputs, passes, seed):
         failures = Failures()
@@ -343,20 +420,26 @@ class HarnessBipartite6(Workload):
         for i, g in enumerate(inputs):
             if component_count(g) != 1 or not two_colourable(g):
                 failures.add(i, "not connected and bipartite")
-        for outputs in passes:
-            for i, reports in enumerate(outputs):
-                if [r.s for r in reports] != [1, 2]:
-                    failures.add(i, "missing a report")
-                for r in reports:
-                    for c in r.checks:
-                        if c.status == "fail":
-                            failures.add(i, f"s={r.s} {c.citation}: {c.claim}")
-        _same_across_passes(passes, lambda reports: [r.to_json_dict() for r in reports], failures)
+        count_raised(passes, failures)
+        for i, reports in enumerate(passes[0]):
+            if isinstance(reports, Exception):
+                continue
+            if [r.s for r in reports] != [1, 2]:
+                failures.add(i, "missing a report")
+            for r in reports:
+                for c in r.checks:
+                    if c.status == "fail":
+                        failures.add(i, f"s={r.s} {c.citation}: {c.claim}")
+                self.check_coverage(inputs[i], r, i, failures)
+        first = self.digest_pass(passes[0])
+        for k, outputs in enumerate(passes[1:], start=1):
+            for i, out in enumerate(outputs):
+                if repr(out) != repr(first[i]):
+                    failures.add(i, f"pass {k} differs from pass 0")
         rng = random.Random(f"{self.name}:{seed}:check")
         for i in sorted(rng.sample(range(len(inputs)), min(HARNESS_SAMPLE, len(inputs)))):
             g = inputs[i]
             multiset = [rng.choice(g.edges) for _ in range(rng.randint(1, 2))]
-            got = edge_set(lib.evenconnection.gprime(g, multiset))
             want_edges = edge_set(g)
             verts = g.vertices
             for a in range(len(verts)):
@@ -364,14 +447,37 @@ class HarnessBipartite6(Workload):
                     u, v = verts[a], verts[b]
                     if oracles.brute_even_connected(g, u, v, multiset):
                         want_edges.add(frozenset((u, v if u != v else f"z@{u}")))
-            if got != want_edges:
-                failures.add(i, f"G' for {multiset} differs from the walk enumeration")
+            with failures.blame(i):
+                if edge_set(lib.evenconnection.gprime(g, multiset)) != want_edges:
+                    failures.add(i, f"G' for {multiset} differs from the walk enumeration")
         return failures
+
+    @staticmethod
+    def check_coverage(g, report, i: int, failures: Failures) -> None:
+        """Every record that this graph and s call for is there: a check
+        skipped, for instance after a ResourceLimitError, fails the input."""
+        tags = Counter(c.citation for c in report.checks)
+        for tag in HARNESS_REPORT_TAGS:
+            if tags[tag] != 1:
+                failures.add(i, f"s={report.s}: {tags[tag]} {tag} records, expected 1")
+        want = Counter(
+            multiset_key(m)
+            for m in itertools.combinations_with_replacement(g.edges, report.s)
+        )
+        for tag in HARNESS_MULTISET_TAGS_S2 if report.s == 2 else HARNESS_MULTISET_TAGS:
+            got = Counter(claim_multiset(c.claim) for c in report.checks if c.citation == tag)
+            if got != want:
+                failures.add(i, f"s={report.s}: {tag} records for {sum(got.values())}"
+                                f" edge multisets, expected one for each of {len(want)}")
 
 
 class RegLarge(Workload):
     name = "reg-large"
-    why = "reg_power on C10^2, P10^2 and K3,3^3, large pairs within the default caps (lcm lattices of 2.9k to 12k elements), each with a closed form"
+    # Large lcm lattices and rank computations share less of the probe's
+    # slowdown than the small-graph work: over ten runs, one of them in a
+    # spell where the probe ran 1.5 times slower, the spread of run_s was
+    # 0.06 with 0.6 to 0.7 and 0.10 with 0.85.
+    sensitivity = 0.65
 
     def build(self, lib, seed):
         pairs = [
@@ -382,16 +488,11 @@ class RegLarge(Workload):
         return pairs
 
     def run_pass(self, lib, inputs, between):
-        ops, outputs = [], []
-        for _, g, s in inputs:
-            between()
-            start = perf_counter()
-            outputs.append(lib.betti.reg_power(g, s))
-            ops.append((start, perf_counter()))
-        return ops, outputs
+        return run_each(lambda pair: lib.betti.reg_power(pair[1], pair[2]), inputs, between)
 
     def check(self, lib, oracles, inputs, passes, seed):
         failures = Failures()
+        count_raised(passes, failures)
         for i, (label, g, s) in enumerate(inputs):
             nu = oracles.brute_induced_matching_number(g)
             if label.startswith("K"):
@@ -401,7 +502,7 @@ class RegLarge(Workload):
             else:
                 want = 2 * s + nu - 1  # paths
             for k, outputs in enumerate(passes):
-                if outputs[i] != want:
+                if not isinstance(outputs[i], Exception) and outputs[i] != want:
                     failures.add(i, f"{label}^{s}: pass {k} gave {outputs[i]}, closed form {want}")
         return failures
 
