@@ -88,4 +88,4 @@ from .smallgraphs import (
     trees,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -3,16 +3,17 @@
 cochordal_cover_number is exact: maximal co-chordal subgraphs of G are
 exactly the complements of minimal triangulations of the complement of G,
 so the cover number is the least number of minimal fill sets (over the
-candidate edges E(G)) whose intersection is empty. Minimal fills are
-enumerated either by subset search over E(G) in size order or by a
-memoized elimination recursion; both are exact and cross-tested.
+candidate edges E(G)) whose intersection is empty. Every minimal
+triangulation comes from some vertex elimination ordering, so the minimal
+fills are enumerated by one memoized elimination recursion, bounded by
+_MAX_FILL_STATES. tests/test_chordal.py checks the cover number against a
+brute-force oracle on every connected graph with up to six vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, complement, induced_subgraph, is_bipartite
 from .invariants import minimum_maximal_matching
@@ -174,39 +175,15 @@ def is_chordal_bipartite(g: Graph) -> bool:
 # -- minimal fills of the complement ------------------------------------------
 
 
-def _minimal_fills_subsets(
-    base_adj: list[int], fill_edges: list[tuple[int, int]], active: int
-) -> list[int]:
-    """All minimal F (bitmask over fill_edges) with base + F chordal.
-
-    Size-ordered subset scan; supersets of found fills are skipped, so the
-    survivors of each size are exactly the minimal fills of that size.
-    """
-    m = len(fill_edges)
-    found: list[int] = []
-    for size in range(m + 1):
-        for combo in combinations(range(m), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if any(mask & f == f for f in found):
-                continue
-            adj = list(base_adj)
-            for i in combo:
-                a, b = fill_edges[i]
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-            if _mcs_is_chordal(adj, active):
-                found.append(mask)
-    return found
+# distinct elimination states one minimal-fill search may visit
+_MAX_FILL_STATES = 500000
 
 
 def _minimal_fills_elimination(
     base_adj: list[int],
     fill_index: dict[tuple[int, int], int],
     active: int,
-    state_cap: int,
-) -> list[int]:
+) -> frozenset[int]:
     """All minimal fills via memoized vertex elimination.
 
     Every minimal triangulation is produced by some elimination ordering;
@@ -269,10 +246,10 @@ def _minimal_fills_elimination(
         if key in memo:
             return memo[key]
         states += 1
-        if states > state_cap:
+        if states > _MAX_FILL_STATES:
             raise ResourceLimitError(
                 f"cochordal cover search: elimination state count exceeds "
-                f"{state_cap}"
+                f"_MAX_FILL_STATES ({_MAX_FILL_STATES})"
             )
         fills: set[int] = set()
         live = act
@@ -282,14 +259,14 @@ def _minimal_fills_elimination(
             new_adj, new_act, fill = eliminate(adj, act, v)
             for rest in solve(new_adj, new_act):
                 fills.add(fill | rest)
-        result = frozenset(_minimalize(sorted(fills)))
+        result = frozenset(_minimalize(fills))
         memo[key] = result
         return result
 
-    return sorted(solve(list(base_adj), active))
+    return solve(list(base_adj), active)
 
 
-def _minimalize(masks: Sequence[int]) -> list[int]:
+def _minimalize(masks: Iterable[int]) -> list[int]:
     """Inclusion-minimal members of a family of bitmasks."""
     out: list[int] = []
     for m in sorted(masks, key=lambda x: (bin(x).count("1"), x)):
@@ -298,28 +275,21 @@ def _minimalize(masks: Sequence[int]) -> list[int]:
     return out
 
 
-def _minimal_fills_of_complement(g: Graph, caps: Caps) -> list[int]:
-    """Minimal fills (bitmasks over g.edges) turning complement(g) chordal."""
+def _minimal_fills_of_complement(g: Graph) -> list[int]:
+    """Minimal fills (bitmasks over g.edges) turning complement(g) chordal.
+
+    Ordered by size, then by the ascending tuple of their edge indices; the
+    cover witness is picked by position in this list.
+    """
     index = {v: i for i, v in enumerate(g.vertices)}
-    fill_edges = [(index[u], index[v]) for u, v in g.edges]
-    fill_index = {e: i for i, e in enumerate(fill_edges)}
-    n = g.n_vertices
-    active = (1 << n) - 1
-    base_adj = [0] * n
-    comp = complement(g)
-    for u, v in comp.edges:
-        iu, iv = index[u], index[v]
-        base_adj[iu] |= 1 << iv
-        base_adj[iv] |= 1 << iu
-    if g.n_edges <= 16:
-        return _minimal_fills_subsets(base_adj, fill_edges, active)
-    if n <= 13:
-        return _minimal_fills_elimination(base_adj, fill_index, active, 500000)
-    if g.n_edges <= 20:
-        return _minimal_fills_subsets(base_adj, fill_edges, active)
-    raise ResourceLimitError(
-        f"cochordal cover search: {n} vertices / {g.n_edges} edges is beyond "
-        "both exact strategies"
+    fill_index = {(index[u], index[v]): i for i, (u, v) in enumerate(g.edges)}
+    n, m = g.n_vertices, g.n_edges
+    full = (1 << n) - 1
+    base_adj = [full & ~a & ~(1 << v) for v, a in enumerate(g.adjacency_masks())]
+    fills = _minimal_fills_elimination(base_adj, fill_index, full)
+    return sorted(
+        fills,
+        key=lambda f: (bin(f).count("1"), [i for i in range(m) if (f >> i) & 1]),
     )
 
 
@@ -386,7 +356,7 @@ def cochordal_cover_number(
             total += 1
             parts.append(sub.edges)
             continue
-        fills = _minimal_fills_of_complement(sub, caps)
+        fills = _minimal_fills_of_complement(sub)
         chain = _min_empty_intersection(fills)
         if chain is None:
             raise RuntimeError("no finite co-chordal cover found; impossible")

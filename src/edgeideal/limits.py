@@ -2,12 +2,14 @@
 
 Every potentially exponential routine takes an optional Caps and raises
 ResourceLimitError with the offending quantity instead of running away.
+Every cap must be a positive integer; anything else is a usage error
+(ValueError), whether it comes from code, a CLI flag or the environment.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 ENV_VAR = "EDGEIDEAL_CAPS"
 
@@ -23,9 +25,17 @@ class Caps:
     max_generators: int = 200000
     max_lattice: int = 50000
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value <= 0:
+                raise ValueError(
+                    f"cap {f.name} must be a positive integer, got {value}"
+                )
+
     def with_overrides(self, **kwargs: int) -> "Caps":
-        fields = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **fields) if fields else self
+        given = {k: v for k, v in kwargs.items() if v is not None}
+        return replace(self, **given) if given else self
 
     def check_graph(self, n_vertices: int, n_edges: int, context: str) -> None:
         if n_vertices > self.max_vertices:

@@ -203,6 +203,24 @@ def brute_cochordal_cover_number(g: Graph) -> int:
     raise AssertionError("single edges are cochordal, so a cover exists")
 
 
+def brute_minimal_fills(g: Graph) -> List[int]:
+    """Inclusion-minimal F (bitmasks over g.edges) with complement(g) + F
+    chordal, by a size-ordered subset scan: by size, then by the ascending
+    tuple of edge indices."""
+    comp = brute_complement(g)
+    edges = list(g.edges)
+    found: List[int] = []
+    for size in range(len(edges) + 1):
+        for combo in itertools.combinations(range(len(edges)), size):
+            mask = sum(1 << i for i in combo)
+            if any(mask & f == f for f in found):
+                continue
+            filled = Graph(comp.vertices, list(comp.edges) + [edges[i] for i in combo])
+            if brute_is_chordal(filled):
+                found.append(mask)
+    return found
+
+
 def brute_is_pk_free(g: Graph, k: int) -> bool:
     for s in itertools.permutations(g.vertices, k):
         path_ok = all(g.has_edge(s[i], s[i + 1]) for i in range(k - 1))

@@ -55,7 +55,6 @@ from edgeideal.invariants import (
     minimal_vertex_covers,
     minimum_maximal_matching,
 )
-from edgeideal.limits import ResourceLimitError
 from edgeideal.monomials import (
     Monomial,
     colon_by_monomial,
@@ -249,11 +248,7 @@ def test_power_regularity_spot_checks():
 
     # strictness: the eight-cycle's second power sits below the bound
     c8 = cycle(8)
-    try:
-        oracle = reg_power(c8, 2)
-    except ResourceLimitError:
-        oracle = 5
-        print("second power of the eight-cycle: literature-pinned value 5")
+    oracle = reg_power(c8, 2)
     assert oracle == 5
     assert oracle < reg_upper_bound_cochord(c8, 2) == 6
 

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from edgeideal import chordal
 from edgeideal.chordal import (
+    _minimal_fills_of_complement,
     cochordal_cover_number,
     dual_shelling,
     has_induced_cycle_at_least,
@@ -22,12 +24,13 @@ from edgeideal.families import complete, complete_bipartite, cycle, disjoint_uni
 from edgeideal.graphs import Graph, complement, parse_graph
 from edgeideal.invariants import min_maximal_matching_number
 from edgeideal.limits import Caps, ResourceLimitError
-from edgeideal.smallgraphs import all_graphs
+from edgeideal.smallgraphs import all_graphs, connected_graphs
 
 from oracles import (
     brute_cochordal_cover_number,
     brute_is_chordal,
     brute_is_cochordal,
+    brute_minimal_fills,
     random_graph,
 )
 
@@ -114,6 +117,36 @@ def test_cochord_matches_brute_force_with_valid_witness():
         assert is_cochordal_cover(g, cover)
 
 
+def test_cochord_matches_brute_force_on_all_connected_six_vertex_graphs():
+    graphs = connected_graphs(6)
+    assert len(graphs) == 112
+    for g in graphs:
+        number, cover = cochordal_cover_number(g)
+        assert number == brute_cochordal_cover_number(g), g.to_text()
+        assert cover.size == number
+        assert is_cochordal_cover(g, cover), g.to_text()
+
+
+def test_minimal_fills_match_a_size_ordered_subset_scan():
+    # same fills in the same order: the cover witness is picked by position
+    graphs = [g for n in range(2, 7) for g in connected_graphs(n)]
+    graphs += [cycle(7), whisker(cycle(4))]
+    for g in graphs:
+        if not is_cochordal(g):
+            fills = _minimal_fills_of_complement(g)
+            assert fills == brute_minimal_fills(g), g.to_text()
+
+
+def test_cochord_of_fourteen_cycle_with_long_chords():
+    # 14 vertices and 21 edges: far too many edge subsets to scan
+    c = cycle(14)
+    chords = [(c.vertices[i], c.vertices[i + 7]) for i in range(7)]
+    g = Graph(c.vertices, list(c.edges) + chords)
+    number, cover = cochordal_cover_number(g)
+    assert number == 4 and cover.size == 4
+    assert is_cochordal_cover(g, cover)
+
+
 def test_star_cover_is_a_cover_of_matching_size():
     for g in [cycle(6), cycle(8), whisker(cycle(4))] + _pool(9, 15):
         cover = star_cover(g)
@@ -160,3 +193,12 @@ def test_caps_are_enforced():
         cochordal_cover_number(cycle(8), Caps(max_vertices=4))
     with pytest.raises(ResourceLimitError):
         dual_shelling(cycle(8), Caps(max_edges=3))
+
+
+def test_fill_state_cap_is_enforced_and_named(monkeypatch):
+    monkeypatch.setattr(chordal, "_MAX_FILL_STATES", 2)
+    with pytest.raises(ResourceLimitError, match="_MAX_FILL_STATES"):
+        cochordal_cover_number(cycle(9))
+    # a co-chordal graph needs no fill search at all
+    monkeypatch.setattr(chordal, "_MAX_FILL_STATES", 0)
+    assert cochordal_cover_number(cycle(4))[0] == 1

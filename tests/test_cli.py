@@ -1,9 +1,12 @@
 """Command line interface: parsing, output shape, exit codes, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from edgeideal import __version__
 from edgeideal.cli import main, parse_family
 from edgeideal.families import (
     add_pendants,
@@ -195,6 +198,26 @@ def test_caps_environment_variable(capsys, monkeypatch):
     monkeypatch.setenv("EDGEIDEAL_CAPS", "vertices=2")
     code, _, err = run(capsys, "reg", "--family", "C6")
     assert code == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_cap_flag_is_a_usage_error(capsys, value):
+    code, out, err = run(capsys, "reg", "--family", "C4", "--cap-lattice", value)
+    assert code == 2 and out == ""
+    assert "error:" in err and "max_lattice" in err
+
+
+@pytest.mark.parametrize("text", ["lattice=-1", "generators=0"])
+def test_non_positive_cap_in_environment_is_a_usage_error(capsys, monkeypatch, text):
+    monkeypatch.setenv("EDGEIDEAL_CAPS", text)
+    code, out, err = run(capsys, "reg", "--family", "C4")
+    assert code == 2 and out == ""
+    assert "error:" in err and "must be a positive integer" in err
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == __version__
 
 
 def test_output_is_deterministic(capsys):
