@@ -71,9 +71,6 @@ class BettiTable:
     def rank(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
 
-    def is_empty(self) -> bool:
-        return not self.entries
-
     def regularity(self) -> int:
         """Largest j - i over the nonzero entries."""
         if not self.entries:

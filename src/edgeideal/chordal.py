@@ -13,7 +13,7 @@ brute-force oracle on every connected graph with up to six vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, complement, induced_subgraph, is_bipartite
 from .invariants import minimum_maximal_matching
@@ -91,38 +91,44 @@ def is_cochordal(g: Graph) -> bool:
     return is_chordal(complement(g))
 
 
+def _chordless_cycles(g: Graph, min_length: int) -> Iterator[tuple[int, ...]]:
+    """Every chordless cycle on at least min_length vertices, once each, as
+    vertex indices: it starts at its smallest index and is oriented so the
+    second vertex has a smaller index than the last.  The search is depth
+    first and lazy, so a caller that stops at the first cycle cuts it short.
+    """
+    adj = g.adjacency_masks()
+
+    def extend(
+        start: int, path: list[int], used: int, interior_adj: int
+    ) -> Iterator[tuple[int, ...]]:
+        last = path[-1]
+        live = adj[last] & ~used
+        while live:
+            w = (live & -live).bit_length() - 1
+            live &= live - 1
+            if w < start or (interior_adj >> w) & 1:
+                continue
+            if len(path) >= 2 and (adj[w] >> start) & 1:
+                if len(path) + 1 >= min_length and path[1] < w:
+                    yield tuple(path) + (w,)
+                # going on past w would leave the chord w-start
+                continue
+            # start never counts as interior: adjacency to it means closing
+            grown = interior_adj if len(path) == 1 else interior_adj | adj[last]
+            path.append(w)
+            yield from extend(start, path, used | (1 << w), grown)
+            path.pop()
+
+    for start in range(g.n_vertices):
+        yield from extend(start, [start], 1 << start, 0)
+
+
 def has_induced_cycle_at_least(g: Graph, length: int) -> bool:
     """Any induced (chordless) cycle on >= `length` vertices? length >= 4."""
     if length < 4:
         raise ValueError(f"length must be at least 4, got {length}")
-    adj = g.adjacency_masks()
-    n = g.n_vertices
-
-    def extend(start: int, last: int, used: int, interior_adj: int, size: int) -> bool:
-        cand = adj[last] & ~used
-        live = cand
-        while live:
-            w = (live & -live).bit_length() - 1
-            live &= live - 1
-            if w < start:
-                continue
-            if (interior_adj >> w) & 1:
-                continue
-            if size >= 2 and (adj[w] >> start) & 1:
-                if size + 1 >= length:
-                    return True
-                # closing early would need the chord w-start; dead end
-                continue
-            # start never counts as interior: adjacency to it means closing
-            grown = interior_adj if size == 1 else interior_adj | adj[last]
-            if extend(start, w, used | (1 << w), grown, size + 1):
-                return True
-        return False
-
-    for start in range(n):
-        if extend(start, start, 1 << start, 0, 1):
-            return True
-    return False
+    return next(_chordless_cycles(g, length), None) is not None
 
 
 def induced_cycles(g: Graph, min_length: int = 3) -> list[tuple[str, ...]]:
@@ -133,30 +139,7 @@ def induced_cycles(g: Graph, min_length: int = 3) -> list[tuple[str, ...]]:
     """
     if min_length < 3:
         raise ValueError(f"min_length must be at least 3, got {min_length}")
-    adj = g.adjacency_masks()
-    n = g.n_vertices
-    found: list[tuple[int, ...]] = []
-
-    def extend(start: int, path: list[int], used: int, interior_adj: int) -> None:
-        last = path[-1]
-        live = adj[last] & ~used
-        while live:
-            w = (live & -live).bit_length() - 1
-            live &= live - 1
-            if w < start or (interior_adj >> w) & 1:
-                continue
-            if len(path) >= 2 and (adj[w] >> start) & 1:
-                if len(path) + 1 >= min_length and path[1] < w:
-                    found.append(tuple(path) + (w,))
-                continue
-            grown = interior_adj if len(path) == 1 else interior_adj | adj[last]
-            path.append(w)
-            extend(start, path, used | (1 << w), grown)
-            path.pop()
-
-    for start in range(n):
-        extend(start, [start], 1 << start, 0)
-    found.sort(key=lambda c: (len(c), c))
+    found = sorted(_chordless_cycles(g, min_length), key=lambda c: (len(c), c))
     return [tuple(g.vertices[i] for i in c) for c in found]
 
 

@@ -45,12 +45,9 @@ from .limits import Caps, ResourceLimitError, default_caps
 from .monomials import MonomialIdeal, colon_by_monomial, edge_ideal, polarize, power
 from .regbounds import (
     CheckConfig,
+    GraphProfile,
     check_theorems,
     gap_search,
-    reg_exact_class,
-    reg_lower_bound,
-    reg_upper_bound_bipartition,
-    reg_upper_bound_cochord,
     reg_upper_bound_matching,
     russ_lower_bound_witness,
     upper_bounds_proven,
@@ -315,14 +312,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     caps = _caps(args)
     s = args.s
-    lower = reg_lower_bound(g, s, caps)
+    p = GraphProfile(g, caps)
+    exact = p.exact_class(s)
+    lower = 2 * s + p.nu - 1
     russ, witness = russ_lower_bound_witness(g, s, caps)
-    upper_c = reg_upper_bound_cochord(g, s, caps)
+    upper_c = 2 * s + p.cochord - 1
     upper_m = reg_upper_bound_matching(g, s, caps)
     proven = upper_bounds_proven(g, s)
-    exact = reg_exact_class(g, s, caps)
-    bip = is_bipartite(g)
-    bipartition = reg_upper_bound_bipartition(g, s, caps) if bip else None
+    bipartition = p.bipartition_bound(s) if p.sides is not None else None
     if args.json:
         out = {
             "graph": _graph_json(g),
@@ -405,6 +402,11 @@ def _cmd_gap_search(args: argparse.Namespace) -> int:
     violated = any(t < 0 for dist in report.distribution.values() for t in dist)
     if violated:
         print("lower-bound violation found", file=sys.stderr)
+    for item in report.upper_violations:
+        bound = 2 * args.s + item["cochord"] - 1
+        line = f"upper-bound violation: {item['graph']} reg={item['reg']} > {bound}"
+        print(line, file=sys.stderr)
+    if violated or report.upper_violations:
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -451,12 +453,6 @@ def _add_common(sub: argparse.ArgumentParser, graph_input: bool = True) -> None:
         group.add_argument("--graph", metavar="FILE", help="edge-list file")
         group.add_argument("--family", metavar="SPEC", help="family spec, see `families`")
     sub.add_argument("--json", action="store_true", help="JSON output")
-    sub.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="accepted for interface stability; all enumeration is deterministic",
-    )
     sub.add_argument("--cap-vertices", type=int, metavar="N")
     sub.add_argument("--cap-edges", type=int, metavar="N")
     sub.add_argument("--cap-generators", type=int, metavar="N")

@@ -27,6 +27,9 @@ class Graph:
             if not isinstance(v, str) or not v:
                 raise ValueError(f"vertex labels must be non-empty strings: {v!r}")
             if v not in seen:
+                if v.split() != [v]:
+                    # to_text writes one "u v" line per edge
+                    raise ValueError(f"vertex label {v!r} contains whitespace")
                 seen.add(v)
                 verts.append(v)
         index = {v: i for i, v in enumerate(verts)}

@@ -9,7 +9,6 @@ printed output is stable.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from itertools import combinations_with_replacement
@@ -202,9 +201,6 @@ class MonomialIdeal:
                 for g in self.generators
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
 
 
 def ideal_from_text(variables: Sequence[str], gens: Iterable[str]) -> MonomialIdeal:

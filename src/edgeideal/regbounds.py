@@ -12,6 +12,7 @@ failure can be traced to the exact claim being tested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -20,7 +21,7 @@ from .betti import regularity, reg_power
 from .chordal import cochordal_cover_number, induced_cycles, is_weakly_chordal
 from .evenconnection import gprime, gprime_algebraic
 from .families import is_whiskered
-from .graphs import Graph, bipartition, induced_subgraph, is_bipartite
+from .graphs import Bipartition, Graph, bipartition, induced_subgraph, is_bipartite
 from .invariants import (
     has_dominating_induced_matching,
     induced_matching_number,
@@ -91,14 +92,7 @@ def reg_upper_bound_bipartition(
     g: Graph, s: int, caps: Optional[Caps] = None
 ) -> BipartitionBound:
     """2s + (nu + smaller side)/2 - 1 for bipartite graphs, as a rational."""
-    _check_s(s)
-    sides = bipartition(g)
-    if sides is None:
-        raise ValueError("the bipartition bound needs a bipartite graph")
-    nu = induced_matching_number(g, caps)
-    small = min(len(sides.left), len(sides.right))
-    value = Fraction(2 * s) + Fraction(nu + small, 2) - 1
-    return BipartitionBound(value, value.__floor__())
+    return GraphProfile(g, caps or default_caps()).bipartition_bound(s)
 
 
 def _check_s(s: int) -> None:
@@ -138,6 +132,103 @@ def _cycle_edge_decomposition(g: Graph) -> Optional[tuple[List[int], int]]:
     return lengths, k
 
 
+@dataclass(frozen=True)
+class GraphProfile:
+    """The facts about one graph that more than one caller reads, each
+    computed on first use and kept.  check_theorems keeps one profile per
+    graph it meets, derived graphs included."""
+
+    graph: Graph
+    caps: Caps
+    char: int = 0
+
+    @cached_property
+    def sides(self) -> Optional[Bipartition]:
+        return bipartition(self.graph)
+
+    @cached_property
+    def nu(self) -> int:
+        return induced_matching_number(self.graph, self.caps)
+
+    @cached_property
+    def cochord(self) -> int:
+        return cochordal_cover_number(self.graph, self.caps)[0]
+
+    @cached_property
+    def unmixed(self) -> bool:
+        return is_unmixed(self.graph, self.caps)
+
+    @cached_property
+    def min_pk_free(self) -> Optional[int]:
+        """Least k in 4, 5, 6 with the graph P_k-free, None if there is none."""
+        return next((k for k in (4, 5, 6) if is_pk_free(self.graph, k)), None)
+
+    @cached_property
+    def reg(self) -> Optional[int]:
+        """reg(I(G)) from the Betti oracle; None without edges or over a cap."""
+        if not self.graph.edges:
+            return None
+        return _try_reg(edge_ideal(self.graph), self.char, self.caps)
+
+    @cached_property
+    def class_tags(self) -> tuple[str, ...]:
+        """The bipartite exact-value classes the graph is in, in dispatch
+        order; empty unless it is bipartite.  Each class gives reg of the
+        s-th power as 2s + nu - 1 (the reg3 class has nu = 2)."""
+        if self.sides is None:
+            return ()
+        g = self.graph
+        classes = (
+            ("unmixed-bipartite", self.unmixed),
+            ("weakly-chordal-bipartite", is_weakly_chordal(g)),
+            ("whiskered-bipartite", is_whiskered(g)),
+            ("p6-free-bipartite", self.min_pk_free is not None),
+            (
+                "reg3-connected-bipartite",
+                g.is_connected() and self.nu == 2 and self.cochord == 2,
+            ),
+            ("dim-bipartite", has_dominating_induced_matching(g, self.caps)),
+        )
+        return tuple(tag for tag, holds in classes if holds)
+
+    def bipartition_bound(self, s: int) -> BipartitionBound:
+        _check_s(s)
+        if self.sides is None:
+            raise ValueError("the bipartition bound needs a bipartite graph")
+        small = min(len(self.sides.left), len(self.sides.right))
+        value = Fraction(2 * s) + Fraction(self.nu + small, 2) - 1
+        return BipartitionBound(value, value.__floor__())
+
+    def exact_class(self, s: int) -> Optional[ExactRegularity]:
+        """See reg_exact_class."""
+        _check_s(s)
+        g = self.graph
+        if not g.edges:
+            return None
+        tags: List[tuple[str, int]] = []
+
+        decomp = _cycle_edge_decomposition(g)
+        if decomp is not None:
+            lengths, k = decomp
+            residues = {n % 3 for n in lengths}
+            base = k + sum(n // 3 for n in lengths)
+            if k >= 1 and residues <= {0, 1}:
+                tags.append(("cycles-plus-edges", 2 * s + base - 1))
+            elif k >= 1 and residues == {2}:
+                tags.append(("cycles-plus-edges", 2 * s + base + len(lengths) - 1))
+            elif k == 0 and len(lengths) == 1 and (residues != {2} or s >= 2):
+                # a lone cycle of residue 2 at s = 1 follows no covered formula
+                tags.append(("cycle", 2 * s + base - 1))
+
+        if self.sides is not None:
+            value = 2 * s + self.nu - 1
+            tags.extend((tag, value) for tag in self.class_tags)
+
+        if not tags:
+            return None
+        return ExactRegularity(tags[0][1], tags[0][0], tuple(t for t, _ in tags))
+
+
 def reg_exact_class(
     g: Graph, s: int, caps: Optional[Caps] = None
 ) -> Optional[ExactRegularity]:
@@ -149,56 +240,7 @@ def reg_exact_class(
     bipartite with a dominating induced matching.  The first matching
     class supplies the value; every matching tag is reported.
     """
-    _check_s(s)
-    caps = caps or default_caps()
-    if not g.edges:
-        return None
-    tags: List[tuple[str, int]] = []
-
-    decomp = _cycle_edge_decomposition(g)
-    if decomp is not None:
-        lengths, k = decomp
-        residues = {n % 3 for n in lengths}
-        if k >= 1 and lengths:
-            base = k + sum(n // 3 for n in lengths)
-            if residues <= {0, 1}:
-                tags.append(("cycles-plus-edges", 2 * s + base - 1))
-            elif residues == {2}:
-                tags.append(("cycles-plus-edges", 2 * s + base + len(lengths) - 1))
-        elif k >= 1 and not lengths:
-            # a disjoint union of edges alone
-            tags.append(("cycles-plus-edges", 2 * s + k - 1))
-        elif k == 0 and len(lengths) == 1:
-            n = lengths[0]
-            if n % 3 in (0, 1):
-                tags.append(("cycle", 2 * s + n // 3 - 1))
-            elif s >= 2:
-                tags.append(("cycle", 2 * s + n // 3 - 1))
-            # a lone cycle of residue 2 at s = 1 follows no covered formula
-
-    if is_bipartite(g):
-        nu = induced_matching_number(g, caps)
-        if is_unmixed(g, caps):
-            tags.append(("unmixed-bipartite", 2 * s + nu - 1))
-        if is_weakly_chordal(g):
-            tags.append(("weakly-chordal-bipartite", 2 * s + nu - 1))
-        if is_whiskered(g):
-            tags.append(("whiskered-bipartite", 2 * s + nu - 1))
-        if is_pk_free(g, 6):
-            tags.append(("p6-free-bipartite", 2 * s + nu - 1))
-        if (
-            g.is_connected()
-            and nu == 2
-            and cochordal_cover_number(g, caps)[0] == 2
-        ):
-            tags.append(("reg3-connected-bipartite", 2 * s + 1))
-        if has_dominating_induced_matching(g, caps):
-            tags.append(("dim-bipartite", 2 * s + nu - 1))
-
-    if not tags:
-        return None
-    value = tags[0][1]
-    return ExactRegularity(value, tags[0][0], tuple(t for t, _ in tags))
+    return GraphProfile(g, caps or default_caps()).exact_class(s)
 
 
 # -- induced cycles-plus-edges lower bound -------------------------------------
@@ -407,20 +449,12 @@ def check_theorems(
     config = config or CheckConfig()
     caps = caps or default_caps()
     char = config.char
-    bip = is_bipartite(g)
-    nu = induced_matching_number(g, caps)
-    cochord = cochordal_cover_number(g, caps)[0]
+    p = GraphProfile(g, caps, char)
+    profiles: Dict[Graph, GraphProfile] = {g: p}
+    bip = p.sides is not None
+    nu = p.nu
+    cochord = p.cochord
     ba = min_maximal_matching_number(g, caps)
-    unmixed = is_unmixed(g, caps)
-    weakly = is_weakly_chordal(g)
-    whiskered = is_whiskered(g)
-    p6free = is_pk_free(g, 6)
-    dim = has_dominating_induced_matching(g, caps)
-    reg_graph = (
-        _try_reg(edge_ideal(g), char, caps) if config.oracle and g.edges else None
-    )
-    colon_ok = bip and (unmixed or weakly or whiskered or p6free)
-    reg3 = bip and g.is_connected() and nu == 2 and cochord == 2
     reports = []
     for s in config.s_values:
         checks: List[CheckRecord] = []
@@ -428,7 +462,7 @@ def check_theorems(
         cochord_upper = 2 * s + cochord - 1
         matching_upper = 2 * s + ba - 1
         proven = upper_bounds_proven(g, s)
-        bip_bound = reg_upper_bound_bipartition(g, s, caps) if bip else None
+        bip_bound = p.bipartition_bound(s) if bip else None
         russ = russ_lower_bound(g, s, caps)
         bounds = {
             "lower": lower,
@@ -448,13 +482,16 @@ def check_theorems(
             nu <= cochord <= ba,
             True,
         )
-        exact = reg_exact_class(g, s, caps)
+        exact = p.exact_class(s)
         oracle = None
         if config.oracle and g.edges:
-            try:
-                oracle = reg_power(g, s, char, caps)
-            except ResourceLimitError:
-                oracle = None
+            if s == 1:
+                oracle = p.reg
+            else:
+                try:
+                    oracle = reg_power(g, s, char, caps)
+                except ResourceLimitError:
+                    oracle = None
         if oracle is not None:
             _record(
                 checks,
@@ -501,7 +538,7 @@ def check_theorems(
                     exact.value == oracle,
                     True,
                 )
-            if bip and dim:
+            if "dim-bipartite" in p.class_tags:
                 _record(
                     checks,
                     f"dominating-induced-matching value {2 * s + nu - 1}"
@@ -515,20 +552,7 @@ def check_theorems(
         if g.edges and s <= config.max_multiset_size:
             for multiset in combinations_with_replacement(g.edges, s):
                 try:
-                    _multiset_checks(
-                        g,
-                        multiset,
-                        caps,
-                        char,
-                        checks,
-                        bip=bip,
-                        nu=nu,
-                        cochord=cochord,
-                        unmixed=unmixed,
-                        reg_graph=reg_graph,
-                        colon_ok=colon_ok,
-                        reg3=reg3,
-                    )
+                    _multiset_checks(p, multiset, checks, profiles, config.oracle)
                 except ResourceLimitError:
                     continue
         reports.append(
@@ -578,20 +602,17 @@ def _power_recursion_check(
 
 
 def _multiset_checks(
-    g: Graph,
+    p: GraphProfile,
     multiset: Sequence[tuple[str, str]],
-    caps: Caps,
-    char: int,
     checks: List[CheckRecord],
-    *,
-    bip: bool,
-    nu: int,
-    cochord: int,
-    unmixed: bool,
-    reg_graph: Optional[int],
-    colon_ok: bool,
-    reg3: bool,
+    profiles: Dict[Graph, GraphProfile],
+    oracle: bool,
 ) -> None:
+    """The claims comparing g with the derived graph of (I^(s+1) : e_1...e_s);
+    profiles holds one profile per graph met so far and gains the derived
+    graph's."""
+    g, caps = p.graph, p.caps
+    bip = p.sides is not None
     label = ", ".join(f"{u}*{v}" for u, v in multiset)
     s = len(multiset)
     try:
@@ -607,17 +628,12 @@ def _multiset_checks(
         True,
     )
     gp = walk_route
+    q = profiles.setdefault(gp, GraphProfile(gp, caps, p.char))
     if bip:
-        sides = bipartition(g)
-        holds = is_bipartite(gp)
-        if holds:
-            left = set(sides.left)
-            for u, v in gp.edges:
-                if u in left and v in left:
-                    holds = False
-                elif u not in left and v not in left:
-                    if g.has_vertex(u) and g.has_vertex(v):
-                        holds = False
+        left, right = set(p.sides.left), set(p.sides.right)
+        holds = q.sides is not None and not any(
+            {u, v} <= left or {u, v} <= right for u, v in gp.edges
+        )
         _record(
             checks,
             f"derived graph stays bipartite on the same sides for [{label}]",
@@ -625,55 +641,53 @@ def _multiset_checks(
             holds,
             True,
         )
-    nu_gp = induced_matching_number(gp, caps)
     _record(
         checks,
-        f"induced matching number {nu_gp} of derived graph <= {nu} for [{label}]",
+        f"induced matching number {q.nu} of derived graph <= {p.nu} for [{label}]",
         "induced-matching-monotone",
-        nu_gp <= nu,
+        q.nu <= p.nu,
         True,
     )
     try:
-        cochord_gp = cochordal_cover_number(gp, caps)[0]
+        cochord_gp = q.cochord
     except ResourceLimitError:
         cochord_gp = None
     if cochord_gp is not None:
         _record(
             checks,
-            f"cochord {cochord_gp} of derived graph <= {cochord} for [{label}]",
+            f"cochord {cochord_gp} of derived graph <= {p.cochord} for [{label}]",
             "cochord-monotone",
-            cochord_gp <= cochord,
+            cochord_gp <= p.cochord,
             s == 1 or bip,
         )
-    if unmixed:
+    if p.unmixed:
         _record(
             checks,
             f"derived graph stays unmixed for [{label}]",
             "unmixed-preserved",
-            is_unmixed(gp, caps),
+            q.unmixed,
             bip,
         )
-    for k in (4, 5, 6):
-        if is_pk_free(g, k):
-            _record(
-                checks,
-                f"derived graph stays P{k}-free for [{label}]",
-                f"p{k}-free-preserved",
-                is_pk_free(gp, k),
-                bip,
-            )
-            break
-    if reg_graph is not None:
-        reg_colon = _try_reg(edge_ideal(gp), char, caps)
-        if reg_colon is not None:
-            _record(
-                checks,
-                f"colon regularity {reg_colon} <= graph regularity {reg_graph}"
-                f" for [{label}]",
-                "colon-reg-bounded",
-                reg_colon <= reg_graph,
-                colon_ok or reg3,
-            )
+    k = p.min_pk_free
+    if k is not None:
+        # P_j-free implies P_k-free for j <= k
+        _record(
+            checks,
+            f"derived graph stays P{k}-free for [{label}]",
+            f"p{k}-free-preserved",
+            q.min_pk_free is not None and q.min_pk_free <= k,
+            bip,
+        )
+    if oracle and p.reg is not None and q.reg is not None:
+        _record(
+            checks,
+            f"colon regularity {q.reg} <= graph regularity {p.reg}"
+            f" for [{label}]",
+            "colon-reg-bounded",
+            q.reg <= p.reg,
+            # every bipartite class but the dominating-induced-matching one
+            any(tag != "dim-bipartite" for tag in p.class_tags),
+        )
     if s >= 2:
         ideal = edge_ideal(g)
         it = iterated_colon(ideal, list(multiset), caps)
@@ -702,6 +716,9 @@ class GapReport:
     skipped: int
     strict: List[dict]
     distribution: Dict[int, Dict[int, int]]
+    # graphs with reg above 2s + cochord - 1 where that bound is proven;
+    # the command line reports them on stderr, so the report forms omit them
+    upper_violations: List[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -743,7 +760,8 @@ def gap_search(
     For each graph the oracle regularity of the s-th power is compared
     with 2s+nu-1 and 2s+cochord-1; graphs strict on both sides are listed
     and the offset above the lower bound is tallied per value of
-    cochord - nu.
+    cochord - nu.  Graphs above a proven 2s+cochord-1 are collected in
+    upper_violations.
     """
     _check_s(s)
     caps = caps or default_caps()
@@ -751,6 +769,7 @@ def gap_search(
     skipped = 0
     strict: List[dict] = []
     distribution: Dict[int, Dict[int, int]] = {}
+    upper_violations: List[dict] = []
     for g in graphs:
         if not g.edges:
             continue
@@ -766,8 +785,9 @@ def gap_search(
         n = cochord - nu
         distribution.setdefault(n, {})
         distribution[n][t] = distribution[n].get(t, 0) + 1
+        item = {"graph": graph_id(g), "nu": nu, "cochord": cochord, "reg": reg}
         if 2 * s + nu - 1 < reg < 2 * s + cochord - 1:
-            strict.append(
-                {"graph": graph_id(g), "nu": nu, "cochord": cochord, "reg": reg}
-            )
-    return GapReport(s, total, skipped, strict, distribution)
+            strict.append(item)
+        if reg > 2 * s + cochord - 1 and upper_bounds_proven(g, s):
+            upper_violations.append(item)
+    return GapReport(s, total, skipped, strict, distribution, upper_violations)

@@ -1,5 +1,6 @@
 """Chordality, co-chordal covers, and dual shellings."""
 
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from edgeideal.limits import Caps, ResourceLimitError
 from edgeideal.smallgraphs import all_graphs, connected_graphs
 
 from oracles import (
+    _induces_cycle,
     brute_cochordal_cover_number,
     brute_is_chordal,
     brute_is_cochordal,
@@ -75,6 +77,25 @@ def test_induced_cycles_enumeration():
     assert cycles == [("x1", "x2", "x3", "x6"), ("x3", "x4", "x5", "x6")]
     assert induced_cycles(path(6)) == []
     assert induced_cycles(complete(4), min_length=4) == []
+
+
+def test_chordless_cycle_search_matches_a_subset_scan():
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            brute = [
+                frozenset(verts)
+                for size in range(3, n + 1)
+                for verts in itertools.combinations(g.vertices, size)
+                if _induces_cycle(g, verts)
+            ]
+            cycles = induced_cycles(g)
+            assert sorted(map(frozenset, cycles), key=sorted) == sorted(brute, key=sorted)
+            for cyc in cycles:
+                assert all(g.has_edge(u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+            for length in range(4, 8):
+                assert has_induced_cycle_at_least(g, length) == any(
+                    len(c) >= length for c in brute
+                ), (g.to_text(), length)
 
 
 def test_weakly_chordal_and_chordal_bipartite():

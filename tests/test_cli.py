@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from edgeideal import __version__
+from edgeideal import __version__, regbounds
+from edgeideal.chordal import cochordal_cover_number
 from edgeideal.cli import main, parse_family
 from edgeideal.families import (
     add_pendants,
@@ -167,6 +168,26 @@ def test_gap_search_command(capsys):
     code, out, _ = run(capsys, "gap-search", "--family", "C5", "--family", "C7")
     assert code == 0
     assert "gap 1" in out
+
+
+def test_gap_search_reports_proven_upper_bound_violations(capsys, monkeypatch):
+    def reg_above_cochord_bound(g, s, char=0, caps=None):
+        return 2 * s + cochordal_cover_number(g, caps)[0]
+
+    monkeypatch.setattr(regbounds, "reg_power", reg_above_cochord_bound)
+    # the bound is a theorem for bipartite graphs at every s and for all at s = 1
+    for spec, s in (("C6", "2"), ("P4", "2"), ("C5", "1")):
+        code, out, err = run(capsys, "gap-search", "--family", spec, "--s", s)
+        assert code == 1, spec
+        assert "upper-bound violation" in err and "graphs examined: 1" in out
+    code, out, err = run(capsys, "gap-search", "--family", "C5", "--s", "2")
+    assert code == 0 and err == ""
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reg", "--family", "C4", "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_families_command(capsys):

@@ -35,6 +35,13 @@ def test_loops_rejected():
         Graph(["a"], [("a", "a")])
 
 
+@pytest.mark.parametrize("label", ["a b", "a\tb", " a", "a\n"])
+def test_labels_with_whitespace_rejected(label):
+    # to_text writes "u v" lines, which parse_graph could not split back
+    with pytest.raises(ValueError, match="whitespace"):
+        Graph([label, "c"], [(label, "c")])
+
+
 def test_unknown_endpoint_rejected():
     with pytest.raises(ValueError):
         Graph(["a"], [("a", "b")])

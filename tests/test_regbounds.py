@@ -3,10 +3,13 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+from edgeideal import regbounds
 from edgeideal.betti import regularity
+from edgeideal.evenconnection import gprime
 from edgeideal.families import (
     complete_bipartite,
     cycle,
@@ -218,6 +221,40 @@ def test_check_theorems_octagon_square():
     assert (report.exact.value, report.exact.class_tag) == (5, "cycle")
     assert not report.has_failure()
     assert all(c.status in ("pass", "recorded-pass") for c in report.checks)
+
+
+def test_check_theorems_reads_each_invariant_once_per_graph(monkeypatch):
+    calls = {}
+
+    def counting(name):
+        fn = getattr(regbounds, name)
+
+        def wrapper(arg, *rest, **kwargs):
+            calls.setdefault(name, []).append(arg)
+            return fn(arg, *rest, **kwargs)
+
+        monkeypatch.setattr(regbounds, name, wrapper)
+
+    for name in (
+        "cochordal_cover_number", "induced_matching_number", "is_unmixed", "regularity"
+    ):
+        counting(name)
+    g = whisker(cycle(4))
+    config = CheckConfig(s_values=(1, 2), max_multiset_size=2)
+    reports = check_theorems(g, config)
+    assert not any(r.has_failure() for r in reports)
+
+    derived = {
+        gprime(g, multiset)
+        for size in (1, 2)
+        for multiset in combinations_with_replacement(g.edges, size)
+    }
+    graphs = {g} | derived
+    for name in ("cochordal_cover_number", "induced_matching_number", "is_unmixed"):
+        seen = calls[name]
+        assert len(seen) == len(set(seen)), name
+        assert set(seen) <= graphs, name
+    assert calls["regularity"].count(edge_ideal(g)) == 1
 
 
 def test_gap_search_distribution():
