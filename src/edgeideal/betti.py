@@ -4,41 +4,112 @@ For each multidegree b in the lcm lattice of the generators, the complex
 whose faces are the squarefree vectors t <= b with x^(b-t) still in the
 ideal is generated by one facet per dividing generator g, namely
 {v : g_v < b_v}.  Its reduced homology in dimension i-1 gives the Betti
-number in homological degree i and multidegree b.  Cones are skipped
-outright and homology is memoized on the facet pattern, which keeps the
-scan tractable for the graph-sized inputs this package targets.
+number in homological degree i and multidegree b.
+
+The kernel packs each exponent vector into one int, so the lattice join
+is a SWAR max and divisibility and facets are a subtract and a mask.
+Cones are skipped outright.  Every other complex is strongly collapsed
+to its core before any rank is taken; homology is memoized on the
+maximal facets and again on the renumbered core, and a core that is a
+single simplex needs no rank at all.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from functools import reduce
+from operator import and_, or_
+from typing import Dict, List, Optional
 
 from .graphs import Graph
-from .homology import SimplicialComplex, reduced_homology_ranks
+from .homology import (
+    SimplicialComplex,
+    _check_char,
+    _maximal_masks,
+    _strong_collapse,
+    reduced_homology_ranks,
+)
 from .limits import Caps, default_caps
 from .monomials import Monomial, MonomialIdeal, edge_ideal, power
+
+
+class _Packed:
+    """The generators of one ideal as packed exponent vectors.
+
+    Variable i owns bits [i*w, (i+1)*w) of an int.  The top bit of each
+    field is a guard bit, always 0 in a packed vector, that stops a
+    borrow from crossing into the next field.  The width w is one more
+    than the bit length of the largest exponent, so any exponent fits.
+    """
+
+    __slots__ = ("n", "width", "guards", "values", "gens")
+
+    def __init__(self, ideal: MonomialIdeal, top: int = 0) -> None:
+        for g in ideal.generators:
+            top = max(top, *g.exps, 0)
+        w = top.bit_length() + 1
+        self.n = len(ideal.variables)
+        self.width = w
+        self.guards = sum(1 << (i * w + w - 1) for i in range(self.n))
+        self.values = self.guards - (self.guards >> (w - 1))
+        self.gens = [self.pack(g.exps) for g in ideal.generators]
+
+    def pack(self, exps: tuple[int, ...]) -> int:
+        return sum(e << (i * self.width) for i, e in enumerate(exps))
+
+    def unpack(self, b: int) -> tuple[int, ...]:
+        w = self.width
+        field = (1 << w) - 1
+        return tuple((b >> (i * w)) & field for i in range(self.n))
+
+    def lattice(self, caps: Caps) -> set[int]:
+        """All lcms of nonempty generator subsets."""
+        guards, shift, gens = self.guards, self.width - 1, self.gens
+        found = set(gens)
+        frontier = list(found)
+        while frontier:
+            nxt = []
+            for b in frontier:
+                high = b | guards
+                for g in gens:
+                    # field v of diff is b_v - g_v plus its guard bit, and
+                    # the guard bit survives exactly where b_v >= g_v
+                    diff = high - g
+                    ge = diff & guards
+                    if ge == guards:
+                        continue  # g divides b
+                    join = g + (diff & (ge - (ge >> shift)))
+                    if join not in found:
+                        found.add(join)
+                        caps.check_lattice(len(found), "lcm lattice")
+                        nxt.append(join)
+            frontier = nxt
+        return found
+
+    def facets(self, b: int) -> List[int]:
+        """Facet {v : g_v < b_v} of each generator g dividing b, as a mask
+        of the guard bits of its variables."""
+        guards, values = self.guards, self.values
+        high = b | guards
+        out = []
+        for g in self.gens:
+            diff = high - g
+            if diff & guards == guards:
+                out.append(((diff & values) + values) & guards)
+        return out
+
+    def to_local(self, facet: int, support: tuple[int, ...]) -> int:
+        """The same facet as a mask over positions in the support."""
+        w = self.width
+        return sum(1 << k for k, v in enumerate(support) if facet >> (v * w + w - 1) & 1)
 
 
 def lcm_lattice(
     ideal: MonomialIdeal, caps: Optional[Caps] = None
 ) -> List[Monomial]:
     """All least common multiples of nonempty generator subsets, sorted."""
-    caps = caps or default_caps()
-    gens = [g.exps for g in ideal.generators]
-    found: set[tuple[int, ...]] = set(gens)
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for g in gens:
-                join = tuple(max(x, y) for x, y in zip(b, g))
-                if join not in found:
-                    found.add(join)
-                    caps.check_lattice(len(found), "lcm lattice")
-                    nxt.append(join)
-        frontier = nxt
-    ordered = sorted(found, key=lambda e: (sum(e), e))
-    return [Monomial(e) for e in ordered]
+    packed = _Packed(ideal)
+    exps = (packed.unpack(b) for b in packed.lattice(caps or default_caps()))
+    return [Monomial(e) for e in sorted(exps, key=lambda e: (sum(e), e))]
 
 
 def koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
@@ -46,17 +117,23 @@ def koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
 
     Vertices are the support positions of b in increasing variable order.
     """
+    if len(b.exps) != len(ideal.variables):
+        raise ValueError("monomial does not match the ideal's variables")
+    packed = _Packed(ideal, max(b.exps, default=0))
     support = b.support()
-    local = {v: i for i, v in enumerate(support)}
-    masks = []
-    for g in ideal.generators:
-        if g.divides(b):
-            m = 0
-            for v in support:
-                if g.exps[v] < b.exps[v]:
-                    m |= 1 << local[v]
-            masks.append(m)
+    masks = [packed.to_local(f, support) for f in packed.facets(packed.pack(b.exps))]
     return SimplicialComplex.from_masks(len(support), masks)
+
+
+def _nonzero_ranks(
+    facets: tuple[int, ...], char: int, check: bool
+) -> tuple[tuple[int, int], ...]:
+    """Nonzero reduced homology ranks of the complex with these facets."""
+    n = reduce(or_, facets, 0).bit_length()
+    ranks = reduced_homology_ranks(
+        SimplicialComplex.from_masks(n, facets), char, check=check
+    )
+    return tuple((d, r) for d, r in ranks.items() if r)
 
 
 class BettiTable:
@@ -119,22 +196,41 @@ def betti_table(
     *,
     check: bool = False,
 ) -> BettiTable:
-    """Betti table of the ideal itself (homological degree 0 = generators)."""
+    """Betti table of the ideal itself (homological degree 0 = generators).
+
+    With check=True every rank is checked against the rank of its
+    transpose, and the homology of each core against the homology of the
+    uncollapsed complex.
+    """
+    _check_char(char)
     caps = caps or default_caps()
+    packed = _Packed(ideal)
     entries: Dict[tuple[int, int], int] = {}
-    memo: Dict[tuple[int, tuple[int, ...]], Dict[int, int]] = {}
-    for b in lcm_lattice(ideal, caps):
-        complex_ = koszul_complex(ideal, b)
-        if complex_.is_cone():
-            continue
-        key = (complex_.n_vertices, complex_.facet_masks)
-        ranks = memo.get(key)
+    by_facets: Dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+    by_core: Dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+    for b in packed.lattice(caps):
+        facets = packed.facets(b)
+        if reduce(and_, facets):
+            continue  # a cone
+        key = _maximal_masks(facets)
+        ranks = by_facets.get(key)
         if ranks is None:
-            ranks = reduced_homology_ranks(complex_, char, check=check)
-            memo[key] = ranks
-        degree = b.degree
-        for d, r in ranks.items():
-            if r:
+            core = _strong_collapse(key)
+            if len(core) == 1 and core[0]:
+                ranks = ()  # a simplex
+            else:
+                ranks = by_core.get(core)
+                if ranks is None:
+                    ranks = _nonzero_ranks(core, char, check)
+                    by_core[core] = ranks
+            if check and _nonzero_ranks(key, char, check) != ranks:
+                raise ArithmeticError(
+                    f"strong collapse changed the homology at {packed.unpack(b)}"
+                )
+            by_facets[key] = ranks
+        if ranks:
+            degree = sum(packed.unpack(b))
+            for d, r in ranks:
                 spot = (d + 1, degree)
                 entries[spot] = entries.get(spot, 0) + r
     return BettiTable(entries, char)

@@ -3,7 +3,9 @@
 Faces are bitmasks over vertices 0..n-1.  Homology is computed over the
 rationals (char=0) by fraction-free integer elimination, or over GF(p)
 for a prime p.  The rank of each boundary map can be double-checked
-against the rank of its transpose.
+against the rank of its transpose.  Strong collapses (deleting dominated
+vertices) shrink a complex to its core without changing its homotopy
+type, so fewer and smaller ranks are needed.
 """
 
 from __future__ import annotations
@@ -98,12 +100,88 @@ class SimplicialComplex:
 
 def _maximal_masks(masks: List[int]) -> tuple[int, ...]:
     """Keep only masks not contained in another mask."""
-    unique = sorted(set(masks), key=lambda m: (-m.bit_count(), m))
     kept: List[int] = []
-    for m in unique:
-        if not any(m & big == m for big in kept):
+    # a mask can only lie inside one with at least as many bits
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        for big in kept:
+            if m & big == m:
+                break
+        else:
             kept.append(m)
     return tuple(sorted(kept))
+
+
+def _strong_collapse(facets: tuple[int, ...]) -> tuple[int, ...]:
+    """Core of the complex with these maximal facets, vertices renumbered.
+
+    A vertex v is dominated when another vertex lies in every facet that
+    contains v; deleting v keeps the strong homotopy type (Barmak and
+    Minian, "Strong homotopy types, nerves and collapses", 2012), and v
+    stays dominated after deleting any vertex but its dominator.  So each
+    round deletes, in turn, every vertex with a dominator not deleted
+    before it, until no vertex is dominated.  The surviving vertices are
+    then renumbered 0..k-1 in increasing order, which keeps the facet
+    masks sorted.
+    """
+    while True:
+        common: Dict[int, int] = {}
+        for f in facets:
+            rest = f
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                common[bit] = common.get(bit, f) & f
+        removed = 0
+        for bit, shared in common.items():
+            if shared & ~(bit | removed):
+                removed |= bit
+        if not removed:
+            break
+        facets = _maximal_masks([f & ~removed for f in facets])
+    dense = {bit: 1 << i for i, bit in enumerate(sorted(common))}
+    out = []
+    for f in facets:
+        m = 0
+        while f:
+            bit = f & -f
+            f ^= bit
+            m |= dense[bit]
+        out.append(m)
+    return tuple(out)
+
+
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _check_char(char: int) -> None:
+    """Reject a characteristic that is neither 0 nor a prime below 2**64.
+
+    Miller-Rabin with the twelve primes up to 37 as bases is exact below
+    2**64, and takes microseconds where trial division could take minutes.
+    """
+    if char == 0 or char in _PRIME_BASES:
+        return
+    prime = 2 <= char < 1 << 64 and all(char % p for p in _PRIME_BASES)
+    if prime:
+        odd, halvings = char - 1, 0
+        while odd % 2 == 0:
+            odd //= 2
+            halvings += 1
+        for a in _PRIME_BASES:
+            x = pow(a, odd, char)
+            if x == 1 or x == char - 1:
+                continue
+            for _ in range(halvings - 1):
+                x = x * x % char
+                if x == char - 1:
+                    break
+            else:
+                prime = False
+                break
+    if not prime:
+        raise ValueError(
+            f"characteristic must be 0 or a prime below 2**64, got {char}"
+        )
 
 
 def _normalize_row(row: Dict[int, int]) -> None:
@@ -125,6 +203,7 @@ def matrix_rank(
     With check=True the rank of the transpose is computed independently
     and must agree.
     """
+    _check_char(char)
     r = _rank_elimination(rows, char)
     if check:
         cols: Dict[int, Dict[int, int]] = {}
@@ -138,8 +217,6 @@ def matrix_rank(
 
 
 def _rank_elimination(rows: List[Dict[int, int]], char: int) -> int:
-    if char < 0 or char == 1:
-        raise ValueError(f"characteristic must be 0 or a prime, got {char}")
     pivots: Dict[int, Dict[int, int]] = {}
     for original in rows:
         if char:

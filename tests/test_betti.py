@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import edgeideal.betti as betti_module
 from edgeideal.betti import (
     betti_table,
     has_linear_resolution,
@@ -26,6 +27,7 @@ from edgeideal.monomials import (
     polarize,
     power,
 )
+from edgeideal.smallgraphs import enumerate_family
 
 from oracles import random_graph, taylor_betti
 
@@ -161,3 +163,67 @@ def test_has_linear_resolution_examples():
 def test_lattice_cap_is_enforced():
     with pytest.raises(ResourceLimitError):
         betti_table(edge_ideal(cycle(8)), caps=Caps(max_lattice=10))
+
+
+@pytest.mark.parametrize("char", [1, 4, 6, 9, -3])
+def test_bad_characteristic_rejected_before_any_rank(char):
+    # I(P2) has one generator, and its only complex, {empty set}, takes no
+    # matrix rank: the check must not wait for one
+    for ideal in (edge_ideal(path(2)), edge_ideal(cycle(6))):
+        with pytest.raises(ValueError, match="characteristic"):
+            betti_table(ideal, char=char)
+
+
+def test_betti_matches_taylor_oracle_exhaustive():
+    cases = [edge_ideal(g) for g in enumerate_family("graphs:5")]
+    for g in enumerate_family("forests:4"):
+        square = power(edge_ideal(g), 2)
+        if square.n_generators() <= 10:
+            cases.append(square)
+    for ideal in cases:
+        for char in (0, 2):
+            assert betti_table(ideal, char=char, check=True).entries == taylor_betti(
+                ideal, char=char
+            ), (ideal.to_text(), char)
+
+
+def test_check_catches_a_collapse_that_changes_homology(monkeypatch):
+    collapse = betti_module._strong_collapse
+    monkeypatch.setattr(
+        betti_module, "_strong_collapse", lambda facets: collapse(facets)[:-1]
+    )
+    ideal = edge_ideal(cycle(5))
+    assert betti_table(ideal).entries != taylor_betti(ideal)
+    with pytest.raises(ArithmeticError, match="collapse"):
+        betti_table(ideal, check=True)
+
+
+def test_rank_calls_and_lattice_size_are_fixed(monkeypatch):
+    calls = []
+    ranks = betti_module.reduced_homology_ranks
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return ranks(*args, **kwargs)
+
+    monkeypatch.setattr(betti_module, "reduced_homology_ranks", counting)
+    i6, i10 = edge_ideal(cycle(6)), edge_ideal(cycle(10))
+    # distinct collapsed cores that are not a simplex
+    for ideal, want in ((i6, 4), (power(i6, 2), 9), (power(i10, 2), 65)):
+        calls.clear()
+        betti_table(ideal)
+        assert len(calls) == want, ideal.to_text()
+    assert len(lcm_lattice(power(i10, 2))) == 12084
+
+
+def test_exponents_wider_than_a_byte():
+    assert reg_power(path(2), 200) == 400
+    for gens in (
+        ["x^127*y", "x*y^127", "y^3*z^2"],  # largest exponent fills its field
+        ["x^127*y", "x*y^128", "x^2*z^255"],  # exponents on both sides of 2^7
+    ):
+        ideal = ideal_from_text(("x", "y", "z"), gens)
+        for char in (0, 2):
+            assert betti_table(ideal, char=char, check=True).entries == taylor_betti(
+                ideal, char=char
+            ), gens

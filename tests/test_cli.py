@@ -236,6 +236,14 @@ def test_non_positive_cap_in_environment_is_a_usage_error(capsys, monkeypatch, t
     assert "error:" in err and "must be a positive integer" in err
 
 
+@pytest.mark.parametrize("char", ["1", "4", "-3"])
+@pytest.mark.parametrize("command", [["reg", "--family", "P2"], ["betti", "--family", "C6"]])
+def test_characteristic_not_zero_or_prime_is_a_usage_error(capsys, command, char):
+    code, out, err = run(capsys, *command, "--char", char)
+    assert code == 2 and out == ""
+    assert "error:" in err and "characteristic must be 0 or a prime" in err
+
+
 def test_version_matches_pyproject():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == __version__

@@ -6,6 +6,7 @@ import pytest
 
 from edgeideal.homology import (
     SimplicialComplex,
+    _strong_collapse,
     boundary_matrix,
     matrix_rank,
     reduced_homology_rank,
@@ -78,6 +79,62 @@ def test_projective_plane_torsion_appears_only_mod_2():
     assert reduced_homology_ranks(rp2, char=3) == {-1: 0, 0: 0, 1: 0, 2: 0}
 
 
+def _core(c: SimplicialComplex) -> SimplicialComplex:
+    core = _strong_collapse(c.facet_masks)
+    vertices = 0
+    for f in core:
+        vertices |= f
+    n = vertices.bit_length()
+    assert vertices == (1 << n) - 1  # renumbered densely
+    return SimplicialComplex.from_masks(n, core)
+
+
+def _nonzero(ranks):
+    return {d: r for d, r in ranks.items() if r}
+
+
+def test_strong_collapse_keeps_homology_and_leaves_no_dominated_vertex():
+    rng = random.Random(31)
+    for _ in range(80):
+        n = rng.randint(5, 8)
+        facets = [
+            [v for v in range(n) if rng.random() < 0.45]
+            for _ in range(rng.randint(2, 7))
+        ]
+        c = SimplicialComplex(n, facets)
+        core = _core(c)
+        for char in (0, 2, 3):
+            assert _nonzero(reduced_homology_ranks(core, char)) == _nonzero(
+                reduced_homology_ranks(c, char)
+            ), (facets, char)
+        for v in range(core.n_vertices):
+            shared = -1
+            for f in core.facet_masks:
+                if f >> v & 1:
+                    shared &= f
+            assert shared == 1 << v, (facets, core.facet_masks)
+
+
+def test_strong_collapse_of_cones_and_spheres():
+    cone = SimplicialComplex(5, [[0, 1, 4], [1, 2, 4], [2, 3, 4], [0, 3, 4]])
+    assert len(_core(cone).facet_masks) == 1
+    simplex = SimplicialComplex(4, [[0, 1, 2, 3]])
+    assert _core(simplex).facet_masks == (1,)
+    sphere = SimplicialComplex(4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    assert _core(sphere).facet_masks == sphere.facet_masks
+    rp2 = SimplicialComplex(
+        6,
+        [
+            [0, 1, 2], [0, 2, 3], [0, 1, 5], [0, 4, 5], [0, 3, 4],
+            [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5],
+        ],
+    )
+    assert len(_core(rp2).facet_masks) > 1
+    # {empty set} and the void complex have no vertex to delete
+    assert _strong_collapse((0,)) == (0,)
+    assert _strong_collapse(()) == ()
+
+
 def test_boundary_matrix_squares_to_zero():
     sphere = SimplicialComplex(4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
     faces = sphere.faces_by_dim()
@@ -117,6 +174,12 @@ def test_matrix_rank_rejects_bad_characteristic():
         matrix_rank([{0: 1}], char=1)
     with pytest.raises(ValueError):
         matrix_rank([{0: 1}], char=-2)
+    # 9, a strong pseudoprime to the bases 2, 3, 5 and 7, and a value past
+    # the range where the primality test is exact
+    for char in (9, 3215031751, 2**64 + 13):
+        with pytest.raises(ValueError):
+            matrix_rank([{0: 1}], char=char)
+    assert matrix_rank([{0: 2, 1: 4}, {0: 1, 1: 2}], char=2**61 - 1) == 1
 
 
 def test_euler_characteristic_identity_random_complexes():
